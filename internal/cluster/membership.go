@@ -279,6 +279,12 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	cl.memberMu.Lock()
 	m.state = memberRemoved
 	cl.memberMu.Unlock()
+	// Its ID retires on every client library too, so the replica ladder
+	// never fails over onto it (the NFS clients learn the same through the
+	// device list published below).
+	for _, ref := range cl.pvClients {
+		ref.c.RetireServer(uint32(m.id))
+	}
 	delete(cl.diskByNode, name)
 	delete(cl.storageByNode, name)
 	cl.updateMemberGauges()

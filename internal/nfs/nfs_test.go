@@ -13,7 +13,7 @@ import (
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
-	"dpnfs/internal/vfs"
+	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
 
@@ -225,7 +225,7 @@ func TestNamespaceOps(t *testing.T) {
 		if err := m.client.Remove(ctx, "/d/b"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.client.Open(ctx, "/d/b"); err != vfs.ErrNotExist {
+		if _, err := m.client.Open(ctx, "/d/b"); err != store.ErrNotExist {
 			t.Fatalf("open removed file: %v", err)
 		}
 	})
@@ -255,10 +255,43 @@ func TestTruncateDropsCache(t *testing.T) {
 	})
 }
 
+// TestTruncateUnalignedAndGrowing: truncates to unaligned sizes, past the
+// cached pages and on a file never read work in both cache modes, and a
+// grown file reads zeros past the kept bytes.
+func TestTruncateUnalignedAndGrowing(t *testing.T) {
+	for _, real := range []bool{false, true} {
+		m := newTestMount(t, real)
+		m.run(t, func(ctx *rpc.Ctx) {
+			f, _ := m.client.Create(ctx, "/f")
+			m.client.Write(ctx, f, 0, payload.Real(bytes.Repeat([]byte{7}, 1000)))
+			m.client.Fsync(ctx, f)
+			for _, size := range []int64{10, 100000} {
+				if err := m.client.Truncate(ctx, f, size); err != nil {
+					t.Fatalf("real=%v truncate %d: %v", real, size, err)
+				}
+			}
+			got, n, err := m.client.Read(ctx, f, 0, 100000)
+			if err != nil || n != 100000 {
+				t.Fatalf("real=%v read after growing truncate: %d %v", real, n, err)
+			}
+			if real && !bytes.Equal(got.Bytes, append(bytes.Repeat([]byte{7}, 10), make([]byte, 100000-10)...)) {
+				t.Fatal("growing truncate: want 10 kept bytes then zeros")
+			}
+			g, err := m.client.Open(ctx, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.client.Truncate(ctx, g, 70001); err != nil {
+				t.Fatalf("real=%v truncate of an unread file: %v", real, err)
+			}
+		})
+	}
+}
+
 func TestOpenMissingFails(t *testing.T) {
 	m := newTestMount(t, false)
 	m.run(t, func(ctx *rpc.Ctx) {
-		if _, err := m.client.Open(ctx, "/nope"); err != vfs.ErrNotExist {
+		if _, err := m.client.Open(ctx, "/nope"); err != store.ErrNotExist {
 			t.Fatalf("open missing: %v", err)
 		}
 	})

@@ -87,6 +87,11 @@ type Client struct {
 	// not ride the engine.
 	io     map[uint32]rpc.Conn
 	ioSync map[uint32]rpc.Conn
+	// retired holds the IDs of daemons that have left membership
+	// (RetireServer).  Their conns stay in io, so data placed under an
+	// older distribution stays reachable, but the replica ladder never
+	// fails over onto them.
+	retired map[uint32]bool
 	// repaired records extents this client already read-repaired, keyed by
 	// (data handle, device, device offset): repair is exactly-once per
 	// extent per client, so a rewrite that does not take (the replica is
@@ -122,7 +127,7 @@ func NewClient(cfg ClientConfig) *Client {
 	if issuer == "" {
 		issuer = "pvfs"
 	}
-	c := &Client{cfg: cfg, stats: stats, repaired: make(map[repairKey]bool)}
+	c := &Client{cfg: cfg, stats: stats, retired: make(map[uint32]bool), repaired: make(map[repairKey]bool)}
 	c.engine = ioengine.New(ioengine.Config{
 		Name:            name,
 		Issuer:          issuer,
@@ -161,14 +166,37 @@ func (c *Client) AddServer(id uint32, conn rpc.Conn) {
 	c.ioSync[id] = rpc.WithRetry(conn, c.cfg.Retry, c.stats.ioRetries.Inc)
 }
 
+// RetireServer marks a storage daemon as departed from membership (a
+// drained node): its conn is kept for reads under older placements, but it
+// is never tried as a replica alternate — the same liveness rule the NFS
+// client applies to departed pNFS devices.
+func (c *Client) RetireServer(id uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retired[id] = true
+}
+
+// serverLive reports whether stripe device dev of f may take a replica
+// failover: in range, wired to a conn, and not retired.
+func (c *Client) serverLive(f *File, dev int) bool {
+	if dev < 0 || dev >= len(f.io) || f.io[dev] == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.retired[f.ids[dev]]
+}
+
 // File is an open PVFS2 file reference.  Data is the handle the datafiles
-// live under (it diverges from Handle after a migration); io/ioSync hold the
-// daemon conns for the file's placement, in stripe-device order.
+// live under (it diverges from Handle after a migration); ids/io/ioSync
+// hold the daemon IDs and conns for the file's placement, in stripe-device
+// order.
 type File struct {
 	Handle Handle
 	Data   Handle
 	Dist   DistParams
 	mapper stripe.Mapper
+	ids    []uint32
 	io     []rpc.Conn
 	ioSync []rpc.Conn
 }
@@ -191,6 +219,7 @@ func (c *Client) newFile(h, data Handle, dist DistParams) *File {
 		Data:   data,
 		Dist:   dist,
 		mapper: dist.Mapper(),
+		ids:    ids,
 		io:     make([]rpc.Conn, len(ids)),
 		ioSync: make([]rpc.Conn, len(ids)),
 	}
@@ -375,7 +404,8 @@ func (c *Client) readExtent(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal boo
 	return rep, nil
 }
 
-// readAlternates re-drives a failed extent read on each surviving replica.
+// readAlternates re-drives a failed extent read on each surviving replica;
+// retired daemons are filtered out (stripe.Replicated.AlternatesLive).
 // Only the two laddered failure kinds are eligible — a down device and a
 // data-integrity error; anything else (bad handle, wiring bug) propagates
 // unchanged.  An integrity failure that a replica absorbs also rewrites the
@@ -386,7 +416,8 @@ func (c *Client) readAlternates(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal
 		return IOReadRep{}, cause
 	}
 	corrupt := rpc.RetryableIntegrity(cause)
-	for _, alt := range rm.Alternates(r) {
+	live := func(dev int) bool { return c.serverLive(f, dev) }
+	for _, alt := range rm.AlternatesLive(r, live) {
 		// Repair needs real bytes even when the caller wanted a synthetic
 		// read (it rewrites stored content, not sizes).
 		rep, err := c.readExtent(ctx, f, alt, wantReal || corrupt)

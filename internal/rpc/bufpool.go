@@ -7,7 +7,9 @@ import (
 )
 
 // Buffer pool for transfer-sized []byte, shared by the TCP transport's frame
-// encode/decode paths and by server backends producing bulk read payloads.
+// decode path, the client page cache's snapshots, and server backends
+// producing bulk read payloads.  (Frame encoding gathers bulk payloads by
+// reference and needs no transfer-sized buffer; see writeFrame.)
 // Buffers live in power-of-two size classes so a steady-state server reuses
 // the same handful of allocations regardless of request mix — the bufpool
 // idiom of production NFS servers.

@@ -25,14 +25,16 @@ import (
 // what the TCP transport actually writes.
 //
 // Frames are encoded into and decoded from pooled buffers (bufpool.go): a
-// steady-state connection allocates nothing per call.  Bodies decode in
+// steady-state connection allocates nothing per call.  Bulk payloads are
+// touched once per hop in each direction: encoding gathers them by
+// reference into one vectored write (writeFrame), and bodies decode in
 // borrow mode (xdr.Decoder.EnableBorrow), so bulk payload fields alias the
 // pooled record instead of copying:
 //
-//   - Requests: the connection loop keeps the frame alive until the handler
-//     returns, so borrows need no reference count — handlers must consume
-//     payload bytes before returning (the same read-only contract the
-//     reference-passing simulated transport imposes).
+//   - Requests: the connection loop keeps the frame alive until the reply
+//     is written, so borrows need no reference count — handlers must
+//     consume payload bytes before returning (the same read-only contract
+//     the reference-passing simulated transport imposes).
 //   - Replies: the frame is wrapped in a RefBuf; each borrowed payload
 //     retains it and releases through payload.Payload.Release, so the frame
 //     returns to the pool when the last consumer is done.
@@ -59,20 +61,35 @@ func (e *SendError) Unwrap() error { return e.Err }
 // authPlaceholder is the fixed 20-byte stand-in credential.
 var authPlaceholder [20]byte
 
-// appendFrame encodes a full frame into a pooled buffer.  The caller owns
-// the returned buffer and must PutBuf it after the socket write.  The
-// buffer is sized up front from the body's WireSize so bulk frames stay in
-// their pool class instead of growing out of it.
-func appendFrame(xid, mtype, word uint32, body xdr.Marshaler) []byte {
-	need := HeaderBytes + 16
-	if body != nil {
-		if s, ok := body.(interface{ WireSize() int64 }); ok {
-			need = HeaderBytes + int(s.WireSize()) + 8
-		} else {
-			need = 512
-		}
-	}
-	e := xdr.NewEncoderBuf(GetBuf(need))
+// frameWriter is a pooled gathering encoder plus the vector its frame is
+// written from.  The encoder keeps its buffer across frames, so it settles
+// at the size of the copied part of the frames it carries — a few hundred
+// bytes when the payload is gathered — and a steady-state connection
+// allocates nothing per frame.
+type frameWriter struct {
+	enc xdr.Encoder
+	iov net.Buffers // the frame's segments, in wire order
+	out net.Buffers // iov as handed to WriteTo, which consumes it
+}
+
+var frameWriters = sync.Pool{New: func() any { return new(frameWriter) }}
+
+// writeFrame serializes one frame onto w under mu (frames from concurrent
+// calls interleave whole, never byte-wise), returning the frame length.
+//
+// Bulk opaques are gather-written: the header and small fields are encoded
+// into the pooled encoder's buffer, and every real-bytes opaque of at least
+// xdr.GatherMin goes out by reference, as its own entry of one vectored
+// write (writev on a socket).  The wire bytes are identical to a
+// contiguous encoding.  Contract: body's payload bytes must stay alive and
+// unchanged until writeFrame returns.  Both callers guarantee it — a
+// client holds its request (and the WRITE payload in it) for the whole
+// Call, and the server recycles the request frame and runs the handler's
+// deferred releases only after the reply's writeFrame returns.
+func writeFrame(w io.Writer, mu *sync.Mutex, xid, mtype, word uint32, body xdr.Marshaler) (int, error) {
+	fw := frameWriters.Get().(*frameWriter)
+	e := &fw.enc
+	e.Gather()
 	e.Uint32(0) // record length, patched below
 	e.Uint32(xid)
 	e.Uint32(mtype)
@@ -81,20 +98,17 @@ func appendFrame(xid, mtype, word uint32, body xdr.Marshaler) []byte {
 	if body != nil {
 		e.Marshal(body)
 	}
-	b := e.Bytes()
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
-
-// writeFrame serializes one frame onto w under mu (frames from concurrent
-// calls interleave whole, never byte-wise), returning the frame length.
-func writeFrame(w io.Writer, mu *sync.Mutex, xid, mtype, word uint32, body xdr.Marshaler) (int, error) {
-	b := appendFrame(xid, mtype, word, body)
+	n := e.Len()
+	fw.iov = e.Buffers(fw.iov[:0])
+	binary.BigEndian.PutUint32(fw.iov[0], uint32(n-4))
+	fw.out = fw.iov
 	mu.Lock()
-	_, err := w.Write(b)
+	_, err := fw.out.WriteTo(w)
 	mu.Unlock()
-	n := len(b)
-	PutBuf(b)
+	// Drop every reference to the payloads before pooling.
+	clear(fw.iov)
+	e.Reset()
+	frameWriters.Put(fw)
 	return n, err
 }
 
@@ -483,8 +497,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			defer handlers.Done()
 			hctx := &Ctx{serialized: true}
 			rep, status := s.handler(hctx, proc, body)
-			PutBuf(rec)
 			_, _ = writeFrame(conn, &writeMu, xid, msgReply, uint32(status), rep)
+			// Only now may the request frame and the handler's pooled
+			// reply buffers be recycled: the reply was gather-written from
+			// them.
+			PutBuf(rec)
 			hctx.runDeferred()
 		}(xid, proc, body, rec)
 	}

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"dpnfs/internal/sim"
+	"dpnfs/internal/slab"
 	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
@@ -481,26 +482,6 @@ func (s *Store) SetSize(id store.FileID, size int64) error {
 // store.Content so servers can call Sync unconditionally.
 func (s *Store) Sync(p *sim.Proc) error { return nil }
 
-// Discard returns every chunk in the store to the chunk pool.  The caller
-// asserts the store will never be read again — a dropped client page cache,
-// not a server backend (durable backends checkpoint through Extents, which
-// must keep its chunks).
-func (s *Store) Discard() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, n := range s.byID {
-		if n.data == nil {
-			continue
-		}
-		for ci, c := range n.data.chunks {
-			delete(n.data.chunks, ci)
-			delete(n.data.sums, ci)
-			putChunk(c)
-		}
-		n.size = 0
-	}
-}
-
 // CorruptChunk implements store.Corruptible: it flips one readable byte in
 // one materialized chunk — chosen deterministically from seed — without
 // resealing the checksum, modelling media bit rot.  It reports whether any
@@ -682,7 +663,9 @@ type sparse struct {
 	sums   map[int64]uint32
 }
 
-const chunkSize = 64 << 10
+// chunkSize is the shared slab size: chunks come from and return to the
+// process-wide slab free-list.
+const chunkSize = slab.Size
 
 // chunkSalt binds a chunk's checksum to its location.  File ids and chunk
 // indexes both stay far below 2^32 in this repository, so packing them into
@@ -697,48 +680,6 @@ func (sp *sparse) reseal(ci int64) {
 	sp.sums[ci] = xdr.ChecksumSalted(sp.chunkSalt(ci), sp.chunks[ci])
 }
 
-// chunkFree recycles chunk slabs across files and stores.  Client page
-// caches are dropped and rebuilt wholesale (DropCaches, close-to-open
-// revalidation); without the freelist every rebuild allocates its working
-// set chunk by chunk.  A plain guarded slice, not a sync.Pool: Put(&c)
-// would box the slice header and cost the very alloc the pool is here to
-// save.  maxFreeChunks bounds retention (64 MiB); overflow falls to GC.
-var chunkFree struct {
-	sync.Mutex
-	free [][]byte
-}
-
-const maxFreeChunks = 1024
-
-// getChunk returns a chunk slab, zeroed unless the caller is about to
-// overwrite all of it (recycled slabs come back holding old bytes, and
-// holes must read as zeros).
-func getChunk(zero bool) []byte {
-	chunkFree.Lock()
-	var c []byte
-	if n := len(chunkFree.free); n > 0 {
-		c = chunkFree.free[n-1]
-		chunkFree.free[n-1] = nil
-		chunkFree.free = chunkFree.free[:n-1]
-	}
-	chunkFree.Unlock()
-	if c == nil {
-		return make([]byte, chunkSize)
-	}
-	if zero {
-		clear(c)
-	}
-	return c
-}
-
-func putChunk(c []byte) {
-	chunkFree.Lock()
-	if len(chunkFree.free) < maxFreeChunks {
-		chunkFree.free = append(chunkFree.free, c)
-	}
-	chunkFree.Unlock()
-}
-
 func newSparse(id store.FileID) *sparse {
 	return &sparse{id: id, chunks: make(map[int64][]byte), sums: make(map[int64]uint32)}
 }
@@ -749,7 +690,7 @@ func (sp *sparse) writeAt(off int64, b []byte) {
 		co := off % chunkSize
 		c, ok := sp.chunks[ci]
 		if !ok {
-			c = getChunk(co != 0 || int64(len(b)) < chunkSize)
+			c = slab.Get(co != 0 || int64(len(b)) < chunkSize)
 			sp.chunks[ci] = c
 		}
 		n := copy(c[co:], b)
@@ -824,7 +765,7 @@ func (sp *sparse) truncate(size int64) {
 		case ci > lastChunk:
 			delete(sp.chunks, ci)
 			delete(sp.sums, ci)
-			putChunk(c)
+			slab.Put(c)
 		case ci == lastChunk:
 			keep := size % chunkSize
 			for i := keep; i < chunkSize; i++ {

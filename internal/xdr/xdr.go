@@ -37,26 +37,87 @@ var (
 )
 
 // Encoder appends XDR-encoded data to an internal buffer.
+//
+// A gathering encoder (Gather) does not copy large opaque bodies: each one
+// of at least GatherMin bytes becomes its own segment referencing the
+// caller's slice, and the encoder emits only the length word and padding
+// around it.  Buffers then yields the encoding as an ordered segment list
+// for one vectored write; the concatenated segments are byte-identical to
+// the contiguous encoding.  Gathered bodies are read again when the
+// segments are written, so they must stay unchanged until then.
 type Encoder struct {
-	buf []byte
+	buf    []byte
+	gather bool
+	segs   []segment
 }
+
+// segment is one gathered opaque body, to be emitted after buf[:at].
+type segment struct {
+	at   int
+	body []byte
+}
+
+// GatherMin is the opaque size at or above which a gathering encoder
+// references the body instead of copying it; smaller bodies are copied, so
+// small-op frames stay one segment.  The value is not a measured crossover:
+// all that is relied on is that it lies between small-op sizes (8 KiB
+// reads and writes) and bulk transfer sizes (2 MB).  It is fixed, not a
+// tuning knob: gathering never changes the bytes on the wire.
+const GatherMin = 32 << 10
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// NewEncoderBuf returns an encoder that appends into b's storage (emptied
-// first).  Callers feeding pooled buffers avoid a fresh allocation per
-// message; Bytes may still reallocate past cap(b).
-func NewEncoderBuf(b []byte) *Encoder { return &Encoder{buf: b[:0]} }
+// Gather resets e and switches it to gather mode.  The buffer and segment
+// list keep their capacity, so a pooled encoder settles at the size of the
+// copied part of its messages and allocates nothing per message.
+func (e *Encoder) Gather() {
+	e.Reset()
+	e.gather = true
+}
 
-// Bytes returns the encoded buffer (not a copy).
-func (e *Encoder) Bytes() []byte { return e.buf }
+// Bytes returns the encoded buffer (not a copy).  It panics if the encoder
+// gathered a body: such an encoding exists only as Buffers.
+func (e *Encoder) Bytes() []byte {
+	if len(e.segs) > 0 {
+		panic("xdr: Bytes on an encoder holding gathered segments")
+	}
+	return e.buf
+}
 
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Buffers appends the encoding to dst as its ordered segments: runs of the
+// internal buffer interleaved with gathered bodies.  Empty runs are
+// skipped.
+func (e *Encoder) Buffers(dst [][]byte) [][]byte {
+	prev := 0
+	for _, s := range e.segs {
+		if s.at > prev {
+			dst = append(dst, e.buf[prev:s.at])
+		}
+		dst = append(dst, s.body)
+		prev = s.at
+	}
+	if len(e.buf) > prev {
+		dst = append(dst, e.buf[prev:])
+	}
+	return dst
+}
 
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Len returns the number of encoded bytes so far, gathered bodies included.
+func (e *Encoder) Len() int {
+	n := len(e.buf)
+	for _, s := range e.segs {
+		n += len(s.body)
+	}
+	return n
+}
+
+// Reset discards the buffer contents and gathered segments, retaining
+// capacity.
+func (e *Encoder) Reset() {
+	clear(e.segs) // drop references to the previous message's bodies
+	e.buf, e.segs = e.buf[:0], e.segs[:0]
+}
 
 // Uint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
@@ -107,13 +168,22 @@ func (e *Encoder) Zeros(n int) {
 	clear(e.buf[zeroFrom:])
 }
 
-// Opaque encodes a variable-length opaque: length word + padded bytes.
+// Opaque encodes a variable-length opaque: length word + padded bytes.  A
+// gathering encoder references bodies of at least GatherMin bytes instead
+// of copying them.
 func (e *Encoder) Opaque(b []byte) {
 	if len(b) > MaxOpaque {
 		panic(fmt.Sprintf("xdr: opaque of %d bytes exceeds limit", len(b)))
 	}
 	e.Uint32(uint32(len(b)))
-	e.FixedOpaque(b)
+	if !e.gather || len(b) < GatherMin {
+		e.FixedOpaque(b)
+		return
+	}
+	e.segs = append(e.segs, segment{at: len(e.buf), body: b})
+	for pad := (4 - len(b)%4) % 4; pad > 0; pad-- {
+		e.buf = append(e.buf, 0)
+	}
 }
 
 // String encodes an XDR string.

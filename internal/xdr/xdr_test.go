@@ -186,3 +186,66 @@ func TestEncoderReset(t *testing.T) {
 		t.Fatal("reset did not clear buffer")
 	}
 }
+
+// gatherSizes straddles the gather threshold, with lengths that are and are
+// not multiples of 4 (the padding a gathering encoder emits itself).
+var gatherSizes = []int{0, 3, GatherMin - 1, GatherMin, GatherMin + 1, GatherMin + 2, GatherMin + 3, 2<<20 + 5}
+
+// TestGatherMatchesContiguous pins the gather-write invariant: the segments
+// of a gathering encoder concatenate to exactly the contiguous encoding,
+// bodies at or above GatherMin are referenced rather than copied, and
+// smaller ones are copied.
+func TestGatherMatchesContiguous(t *testing.T) {
+	var g Encoder
+	for _, n := range gatherSizes {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i*7 + 1)
+		}
+		encode := func(e *Encoder) {
+			e.Uint32(0xfeedface)
+			e.Opaque(body)
+			e.Opaque([]byte("tail"))
+			e.Opaque(body)
+			e.Uint64(42)
+		}
+		flat := NewEncoder()
+		encode(flat)
+		g.Gather()
+		encode(&g)
+		segs := g.Buffers(nil)
+		if got := bytes.Join(segs, nil); !bytes.Equal(got, flat.Bytes()) {
+			t.Fatalf("n=%d: gathered encoding differs from contiguous (%d vs %d bytes)", n, len(got), flat.Len())
+		}
+		if g.Len() != flat.Len() {
+			t.Fatalf("n=%d: Len %d, contiguous %d", n, g.Len(), flat.Len())
+		}
+		aliased := 0
+		for _, s := range segs {
+			if len(s) > 0 && n > 0 && &s[0] == &body[0] {
+				aliased++
+			}
+		}
+		want := 0
+		if n >= GatherMin {
+			want = 2
+		}
+		if aliased != want {
+			t.Fatalf("n=%d: %d segments reference the body, want %d", n, aliased, want)
+		}
+	}
+}
+
+// TestGatherBytesPanics guards against reading a gathered encoding as one
+// buffer, which would silently drop the bodies.
+func TestGatherBytesPanics(t *testing.T) {
+	var e Encoder
+	e.Gather()
+	e.Opaque(make([]byte, GatherMin))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bytes on a gathered encoding did not panic")
+		}
+	}()
+	e.Bytes()
+}
