@@ -28,6 +28,7 @@ import (
 
 	"dpnfs/internal/cluster"
 	"dpnfs/internal/faults"
+	"dpnfs/internal/ioengine"
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/workload"
@@ -486,7 +487,7 @@ var windowSweepSizes = []int{1, 2, 4, 8, 16}
 // aggregate mixed-size IOR write throughput as a function of the engine's
 // window size (cluster.Config.MaxFlight), comparing the sliding in-flight
 // window against the pre-engine lock-step wave dispatch
-// (cluster.Config.IOWave) on the cacheless PVFS2 client, whose every
+// (ioengine.Tuning.Wave) on the cacheless PVFS2 client, whose every
 // application request fans straight out through the engine.  X is the
 // window size; see docs/ARCHITECTURE.md ("The striped-I/O engine").
 func WindowSweep(opt Options) (Figure, error) {
@@ -507,7 +508,7 @@ func WindowSweep(opt Options) (Figure, error) {
 			for _, w := range windowSweepSizes {
 				cl := newCluster(opt, cluster.Config{
 					Arch: arch, Clients: n,
-					MaxFlight: w, IOWave: mode.wave,
+					Tuning: ioengine.Tuning{MaxFlight: w, Wave: mode.wave},
 				})
 				res, err := workload.IOR(cl, workload.IORConfig{
 					FileSize:    scaleBytes(120<<20, opt.Scale),

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dpnfs/internal/cluster"
+	"dpnfs/internal/ioengine"
 	"dpnfs/internal/workload"
 )
 
@@ -43,7 +44,7 @@ func Rebalance(opt Options) (Figure, error) {
 	n := opt.Clients[0]
 	dataSize := scaleBytes(16<<20, opt.Scale)
 	for _, arch := range opt.Archs {
-		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n, IOBackgroundShare: rebalanceBGShare})
+		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n, Tuning: ioengine.Tuning{BackgroundShare: rebalanceBGShare}})
 		res, err := workload.Rebalance(cl, workload.RebalanceConfig{
 			DataSize: dataSize,
 			JoinAt:   rebalanceJoinAt,

@@ -5,6 +5,7 @@ import (
 
 	"dpnfs/internal/cluster"
 	"dpnfs/internal/faults"
+	"dpnfs/internal/ioengine"
 	"dpnfs/internal/simdisk"
 	"dpnfs/internal/workload"
 )
@@ -48,7 +49,7 @@ var tailPercentiles = []struct {
 // Tail is the repository's tail-latency figure (not from the paper):
 // per-read latency percentiles on every architecture, steady versus
 // degraded (slow disk + lossy link on one storage node), with hedged
-// requests off versus on (cluster.Config.IOHedge; see docs/ARCHITECTURE.md
+// requests off versus on (ioengine.Tuning.Hedge; see docs/ARCHITECTURE.md
 // "Tail-latency scheduling").  X is the per-mille quantile (500/990/999); Y
 // is latency in milliseconds.  The figure errors if the hedged clusters'
 // degraded phases never launched a hedge, so it cannot silently degenerate
@@ -87,9 +88,9 @@ func Tail(opt Options) (Figure, error) {
 			cl := newCluster(opt, cluster.Config{
 				Arch: arch, Clients: n,
 				StripeSize: block, WSize: block, RSize: block,
-				Disk:    disk,
-				Faults:  plan,
-				IOHedge: mode.hedge,
+				Disk:   disk,
+				Faults: plan,
+				Tuning: ioengine.Tuning{Hedge: mode.hedge},
 			})
 			res, err := workload.Tail(cl, workload.TailConfig{
 				Block:    block,

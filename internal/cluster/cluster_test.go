@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -332,3 +333,37 @@ func TestHundredMbpsSlowsTransfers(t *testing.T) {
 
 // pvfsHandle converts a vfs FileID to a pvfs.Handle for test assertions.
 func pvfsHandle[T ~uint64](id T) pvfs.Handle { return pvfs.Handle(id) }
+
+// TestCloseEndsSimProcesses builds, runs and closes several simulated
+// clusters: Close must end every simulated process (server dispatch loops
+// included), so the goroutine count returns to where it started.
+func TestCloseEndsSimProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		cl := New(Config{Arch: ArchDirectPNFS, Clients: 2})
+		if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
+			f, err := m.Create(ctx, fmt.Sprintf("/leak.%d", i))
+			if err != nil {
+				return err
+			}
+			if err := m.Write(ctx, f, 0, payload.Synthetic(1<<20)); err != nil {
+				return err
+			}
+			return m.Close(ctx, f)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An exiting goroutine leaves the count a moment after handing control
+	// back to the kernel; wait for the count, with a deadline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after closing 5 clusters", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}

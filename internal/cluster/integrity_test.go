@@ -305,3 +305,85 @@ func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 		t.Fatal("replayed scrub found nothing (vacuous)")
 	}
 }
+
+// corruptSum totals corrupt reads detected across both client stacks.
+func corruptSum(cl *Cluster) float64 {
+	return counterSum(cl, "nfs_client_corrupt_reads_total") +
+		counterSum(cl, "pvfs_client_corrupt_reads_total")
+}
+
+// rotAndRead rots one stored chunk on node — chosen deterministically from
+// seed, so the same seed rots the same byte again — then cold-reads the
+// whole corpus, returning the repair and corrupt-read counter deltas.
+func rotAndRead(t *testing.T, cl *Cluster, node string, seed int64, fileSize int) (repairs, corrupt float64) {
+	t.Helper()
+	r0, c0 := repairSum(cl), corruptSum(cl)
+	if !cl.storageByNode[node].CorruptData(seed) {
+		t.Fatalf("no chunk on %s to rot", node)
+	}
+	readBackIntegrity(t, cl, fileSize, 64<<10, 0)
+	return repairSum(cl) - r0, corruptSum(cl) - c0
+}
+
+// The chunk the repair tests rot: io2 holds part of the primary copy, and
+// the cold read reaches this chunk through that copy on both client stacks.
+const (
+	rotNode = "io2"
+	rotSeed = 1
+)
+
+// TestReadRepairRepeatsAfterRot pins the claim lifetime of read-repair: a
+// claim lasts only while its rewrite is in flight, so a chunk that rots
+// again after a repair is repaired again, and the store's copy verifies
+// clean afterwards.
+func TestReadRepairRepeatsAfterRot(t *testing.T) {
+	const fileSize = 256 << 10
+	for _, arch := range []Arch{ArchDirectPNFS, ArchPVFS2} {
+		t.Run(string(arch), func(t *testing.T) {
+			cl := integrityCluster(arch, nil)
+			defer cl.Close()
+			populateIntegrity(t, cl, fileSize)
+			if got, _ := rotAndRead(t, cl, rotNode, rotSeed, fileSize); got != 1 {
+				t.Fatalf("first rot: %v repairs, want 1", got)
+			}
+			if got, _ := rotAndRead(t, cl, rotNode, rotSeed, fileSize); got != 1 {
+				t.Fatalf("second rot of the same chunk: %v repairs, want 1 (2 in total)", got)
+			}
+			outs, err := cl.ScrubPass()
+			if err != nil {
+				t.Fatalf("scrub pass: %v", err)
+			}
+			for _, o := range outs {
+				if o.Result.Found != 0 {
+					t.Fatalf("node %s still holds %d corrupt chunks after the repairs", o.Node, o.Result.Found)
+				}
+			}
+		})
+	}
+}
+
+// TestOneRotSameLadderCountsOnBothClients shows the two client ladders
+// share one replica rung: the same rotted chunk yields the same repair
+// delta on Direct-pNFS (NFS client) and PVFS2, and the same corrupt-read
+// delta once the NFS client's own first rung — rpc.IntegrityRetries
+// same-source re-reads, each a corrupt read too — is counted in.
+func TestOneRotSameLadderCountsOnBothClients(t *testing.T) {
+	const fileSize = 256 << 10
+	type deltas struct{ repairs, corrupt float64 }
+	got := map[Arch]deltas{}
+	for _, arch := range []Arch{ArchDirectPNFS, ArchPVFS2} {
+		cl := integrityCluster(arch, nil)
+		populateIntegrity(t, cl, fileSize)
+		r, c := rotAndRead(t, cl, rotNode, rotSeed, fileSize)
+		cl.Close()
+		got[arch] = deltas{r, c}
+	}
+	nfs, pvfs := got[ArchDirectPNFS], got[ArchPVFS2]
+	if pvfs.repairs != 1 || nfs.repairs != pvfs.repairs {
+		t.Fatalf("read repairs: direct-pnfs %v, pvfs2 %v; want 1 on both", nfs.repairs, pvfs.repairs)
+	}
+	if pvfs.corrupt != 1 || nfs.corrupt != pvfs.corrupt*(1+rpc.IntegrityRetries) {
+		t.Fatalf("corrupt reads: direct-pnfs %v, pvfs2 %v; want 1 on pvfs2 and %d on direct-pnfs (same-source re-reads first)",
+			nfs.corrupt, pvfs.corrupt, 1+rpc.IntegrityRetries)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dpnfs/internal/ioengine"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
 )
@@ -25,16 +26,15 @@ func driveEngineWorkload(t *testing.T, arch Arch, wave bool, window int) [][]byt
 	)
 	wchunks := []int64{50_000, 512, 130_000, 8 << 10}
 	cl := New(Config{
-		Arch:        arch,
-		Clients:     clients,
-		Backends:    4,
-		StripeSize:  stripe,
-		WSize:       stripe,
-		RSize:       stripe,
-		MaxFlight:   window,
-		MaxTransfer: 20_000, // misaligned: splits nearly every extent
-		IOWave:      wave,
-		Real:        true,
+		Arch:       arch,
+		Clients:    clients,
+		Backends:   4,
+		StripeSize: stripe,
+		WSize:      stripe,
+		RSize:      stripe,
+		// MaxTransfer is misaligned: it splits nearly every extent.
+		Tuning: ioengine.Tuning{MaxFlight: window, MaxTransfer: 20_000, Wave: wave},
+		Real:   true,
 	})
 	defer cl.Close()
 

@@ -32,7 +32,7 @@ func benchEngine(b *testing.B, wave bool) {
 	b.Helper()
 	var virtual sim.Time
 	for i := 0; i < b.N; i++ {
-		e := New(Config{MaxFlight: 4, MaxTransfer: 256 << 10, Wave: wave})
+		e := New(Config{Tuning: Tuning{MaxFlight: 4, MaxTransfer: 256 << 10, Wave: wave}})
 		k := sim.NewKernel(1)
 		k.Go("bench", func(p *sim.Proc) {
 			reqs := e.Prepare(benchExtents())

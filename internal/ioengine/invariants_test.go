@@ -106,7 +106,7 @@ func randomExtents(rng *rand.Rand) []stripe.Extent {
 func TestPrepareInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, maxTransfer := range []int64{0, 1, 64, 333, 1 << 20} {
-		e := New(Config{MaxTransfer: maxTransfer, Metrics: metrics.NewRegistry()})
+		e := New(Config{Tuning: Tuning{MaxTransfer: maxTransfer}, Metrics: metrics.NewRegistry()})
 		for trial := 0; trial < 200; trial++ {
 			in := randomExtents(rng)
 			checkPrepareInvariants(t, maxTransfer, in, e.Prepare(in))
@@ -140,7 +140,7 @@ func FuzzPrepare(f *testing.F) {
 		if len(in) == 0 {
 			t.Skip()
 		}
-		e := New(Config{MaxTransfer: maxTransfer, Metrics: metrics.NewRegistry()})
+		e := New(Config{Tuning: Tuning{MaxTransfer: maxTransfer}, Metrics: metrics.NewRegistry()})
 		checkPrepareInvariants(t, maxTransfer, in, e.Prepare(in))
 	})
 }
@@ -180,7 +180,7 @@ func (h *hedgeLoad) exit() {
 func TestWindowBoundHoldsWithHedges(t *testing.T) {
 	const window = 4
 	e := New(Config{
-		MaxFlight: window, Hedge: true, HedgeAfter: 2 * time.Millisecond,
+		Tuning:  Tuning{MaxFlight: window, Hedge: true, HedgeAfter: 2 * time.Millisecond},
 		Metrics: metrics.NewRegistry(),
 	})
 	// Fast requests first, stragglers last: when the straggler timers fire
@@ -245,7 +245,7 @@ func TestWindowBoundHoldsWithHedges(t *testing.T) {
 func TestHedgesRealTime(t *testing.T) {
 	const window = 4
 	e := New(Config{
-		MaxFlight: window, Hedge: true, HedgeAfter: time.Millisecond,
+		Tuning:  Tuning{MaxFlight: window, Hedge: true, HedgeAfter: time.Millisecond},
 		Metrics: metrics.NewRegistry(),
 	})
 	// As in the sim twin: fast requests first so slots are spare when the
@@ -303,7 +303,7 @@ func TestHedgesRealTime(t *testing.T) {
 // to its window share while foreground runs concurrently, and every request
 // still completes.
 func TestBackgroundShareAndPriority(t *testing.T) {
-	e := New(Config{MaxFlight: 4, BackgroundShare: 0.5, Metrics: metrics.NewRegistry()})
+	e := New(Config{Tuning: Tuning{MaxFlight: 4, BackgroundShare: 0.5}, Metrics: metrics.NewRegistry()})
 	var mu sync.Mutex
 	bgInflight, bgPeak := 0, 0
 	bg := func(ctx *rpc.Ctx, r stripe.Extent) error {
@@ -359,7 +359,7 @@ func TestBackgroundShareAndPriority(t *testing.T) {
 // and queued demand without congestion grows it back toward MaxFlight.
 func TestAdaptiveWindowAIMD(t *testing.T) {
 	e := New(Config{
-		MaxFlight: 8, Adaptive: true, MinFlight: 2,
+		Tuning:  Tuning{MaxFlight: 8, Adaptive: true, MinFlight: 2},
 		Metrics: metrics.NewRegistry(),
 	})
 	run := func(n int, d time.Duration) {

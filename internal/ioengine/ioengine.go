@@ -17,15 +17,21 @@
 //     as plain goroutines — the rpc.Ctx passed in selects the mode, exactly
 //     as elsewhere in the repository.  Config.Wave restores the historical
 //     lock-step batching for comparison (the bench window-sweep figure).
-//   - Policies wrap the per-request operation with failure handling: bounded
-//     retry/backoff (PVFS2 riding out a crashed daemon), or fallback ladders
-//     (the NFS client's layout-recovery retry and MDS-proxied last resort).
+//   - Policies wrap the per-request operation with failure handling, and
+//     both clients build their recovery ladders from the same rungs:
+//     bounded retry/backoff (WithRetry: PVFS2 riding out a crashed daemon),
+//     replica failover with read-repair (WithReplicas, with one claim set
+//     per client in Repairs), and generic fallbacks (WithFallback: the NFS
+//     client's layout-recovery retry and MDS-proxied last resort).
+//   - Fanout runs a fixed set of calls at once on the same processes or
+//     goroutines, with no window (the PVFS2 metadata server's per-daemon
+//     fan-out).
 //
 // # Tail-latency scheduling
 //
 // Beyond the basic window the engine implements four scheduling features
 // (docs/ARCHITECTURE.md "Tail-latency scheduling"), all off by default and
-// enabled per Config/RunOpts:
+// enabled per Tuning/RunOpts:
 //
 //   - QoS classes: every Run carries a Class (Foreground or Background).
 //     Window slots dispatch strict-priority — a waiting foreground request
@@ -45,9 +51,9 @@
 //   - Replica steering: SteerReplicas rewrites read extents produced by a
 //     stripe.Replicated mapper onto each extent's least-loaded replica
 //     device, using the engine's live per-device in-flight counts, with a
-//     deterministic tie-break.  stripe.Replicated.Alternates gives issuers
-//     the replica→replica failover ladder to try before their MDS-proxy
-//     rung.
+//     deterministic tie-break.  A steered read that fails still climbs
+//     the issuer's ladder, whose WithReplicas rung tries the remaining live
+//     replicas (stripe.Replicated.AlternatesLive) before any fallback.
 //   - Adaptive window: with Config.Adaptive the effective window floats
 //     between MinFlight and MaxFlight by AIMD — additive increase while
 //     requests queue for slots, multiplicative decrease when the fast
@@ -163,12 +169,10 @@ const (
 	aimdEvery = 16
 )
 
-// Config describes one engine instance (one per protocol client).
-type Config struct {
-	// Name prefixes simulated process and semaphore names.
-	Name string
-	// Issuer labels the engine's metrics ("nfs", "pvfs").
-	Issuer string
+// Tuning is the engine's knob set, declared once: cluster.Config,
+// nfs.ClientConfig and pvfs.ClientConfig embed it, and every zero value
+// takes the engine default (or the client's own default where it has one).
+type Tuning struct {
 	// MaxFlight bounds concurrently outstanding requests across every Run
 	// on this engine (0 = DefaultMaxFlight).  With Adaptive set it is the
 	// ceiling of the AIMD window.
@@ -198,6 +202,15 @@ type Config struct {
 	Adaptive bool
 	// MinFlight floors the adaptive window (0 = DefaultMinFlight).
 	MinFlight int
+}
+
+// Config describes one engine instance (one per protocol client).
+type Config struct {
+	// Name prefixes simulated process and semaphore names.
+	Name string
+	// Issuer labels the engine's metrics ("nfs", "pvfs").
+	Issuer string
+	Tuning
 	// Metrics is the shared observability registry; nil discards.
 	Metrics *metrics.Registry
 }
@@ -643,6 +656,31 @@ func (g *group) wait() {
 		return
 	}
 	g.swg.Wait(g.ctx.P)
+}
+
+// Fanout runs fn(ctx, i) for every i in [0, n) at once on the runtime Run
+// uses — simulated processes named name under the kernel, goroutines in
+// real-time mode — with no window: for fan-outs whose width is already
+// bounded by the cluster's size (the PVFS2 metadata server's per-daemon
+// calls).  It waits for every call and returns the lowest-indexed error.
+// A single call runs on the caller.
+func Fanout(ctx *rpc.Ctx, name string, n int, fn func(ctx *rpc.Ctx, i int) error) error {
+	if n == 1 {
+		return fn(ctx, 0)
+	}
+	var ferr firstError
+	g := &group{ctx: ctx}
+	for i := 0; i < n; i++ {
+		g.add()
+		g.launch(name, func(c *rpc.Ctx) {
+			if err := fn(c, i); err != nil {
+				ferr.record(i, err)
+			}
+			g.done()
+		})
+	}
+	g.wait()
+	return ferr.get()
 }
 
 // reqState is the per-request completion record shared by a primary and its

@@ -93,7 +93,7 @@ func TestPrepareCoalescesAndSplits(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
-			e := New(Config{MaxTransfer: c.maxTransfer, Metrics: reg})
+			e := New(Config{Tuning: Tuning{MaxTransfer: c.maxTransfer}, Metrics: reg})
 			got := e.Prepare(c.in)
 			if len(got) != len(c.want) {
 				t.Fatalf("got %d requests, want %d: %+v", len(got), len(c.want), got)
@@ -168,8 +168,8 @@ func TestRunTable(t *testing.T) {
 			c := c
 			t.Run(mode+"/"+c.name, func(t *testing.T) {
 				e := New(Config{
-					MaxFlight: c.window, Wave: c.wave,
-					MaxTransfer: c.transfer, Metrics: metrics.NewRegistry(),
+					Tuning:  Tuning{MaxFlight: c.window, Wave: c.wave, MaxTransfer: c.transfer},
+					Metrics: metrics.NewRegistry(),
 				})
 				reqs := e.Prepare(c.reqs)
 				var tr tracker
@@ -217,7 +217,7 @@ func TestRunTable(t *testing.T) {
 // engine-wide bound: two concurrent Runs on one engine never exceed
 // MaxFlight combined.
 func TestRunSharedWindowAcrossConcurrentRuns(t *testing.T) {
-	e := New(Config{MaxFlight: 3, Metrics: metrics.NewRegistry()})
+	e := New(Config{Tuning: Tuning{MaxFlight: 3}, Metrics: metrics.NewRegistry()})
 	var tr tracker
 	fn := func(ctx *rpc.Ctx, r stripe.Extent) error {
 		tr.enter()
@@ -297,7 +297,7 @@ func TestWithFallbackLadder(t *testing.T) {
 		order = append(order, "mds")
 		return nil // handled
 	})
-	e := New(Config{MaxFlight: 2, Metrics: metrics.NewRegistry()})
+	e := New(Config{Tuning: Tuning{MaxFlight: 2}, Metrics: metrics.NewRegistry()})
 	runSim(t, func(ctx *rpc.Ctx) {
 		if err := e.Run(ctx, scattered(1, 64), primary, last, first); err != nil {
 			t.Errorf("ladder should have recovered: %v", err)
@@ -313,7 +313,7 @@ func TestWithFallbackLadder(t *testing.T) {
 // at identical virtual times with identical metric counts.
 func TestRunDeterministic(t *testing.T) {
 	elapsed := func() sim.Time {
-		e := New(Config{MaxFlight: 4, MaxTransfer: 128, Metrics: metrics.NewRegistry()})
+		e := New(Config{Tuning: Tuning{MaxFlight: 4, MaxTransfer: 128}, Metrics: metrics.NewRegistry()})
 		k := sim.NewKernel(7)
 		var end sim.Time
 		k.Go("test", func(p *sim.Proc) {
@@ -343,7 +343,7 @@ func TestRunDeterministic(t *testing.T) {
 // occupancy histogram sees every issue.
 func TestMetricsRecorded(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e := New(Config{MaxFlight: 2, MaxTransfer: 128, Issuer: "test", Metrics: reg})
+	e := New(Config{Tuning: Tuning{MaxFlight: 2, MaxTransfer: 128}, Issuer: "test", Metrics: reg})
 	reqs := e.Prepare(seqExtents(4, 128)) // coalesce 4 -> 1, split 1 -> 4
 	runSim(t, func(ctx *rpc.Ctx) {
 		if err := e.Run(ctx, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {

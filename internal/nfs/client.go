@@ -37,31 +37,13 @@ type ClientConfig struct {
 	MaxReadAhead int64
 	// FlushParallel bounds concurrent asynchronous write-back flushes.
 	FlushParallel int
-	// MaxFlight bounds the striped-I/O engine's sliding window: requests in
-	// flight to data servers across all of the mount's concurrent I/O
-	// (default 32 — wide enough that the session slot table and
-	// FlushParallel bind first, as the pre-engine client behaved).
-	MaxFlight int
-	// MaxTransfer caps a single data-server request; 0 disables extra
-	// splitting (chunks are already gathered to WSize/RSize).
-	MaxTransfer int64
-	// Wave dispatches striped I/O in lock-step batches instead of the
-	// sliding window (bench comparison only).
-	Wave bool
-	// BackgroundShare caps the window fraction background work (write-back
-	// flushes, readahead fills) may hold; foreground reads and commits
-	// always dispatch first.  0 leaves background uncapped.
-	BackgroundShare float64
-	// Hedge enables hedged duplicate READs for straggling foreground
-	// requests (writes never hedge).  HedgeAfter/HedgeFactor tune the
-	// adaptive straggler threshold (0 = engine defaults).
-	Hedge       bool
-	HedgeAfter  time.Duration
-	HedgeFactor float64
-	// Adaptive lets the engine's window float between MinFlight and
-	// MaxFlight by AIMD (0 MinFlight = engine default).
-	Adaptive  bool
-	MinFlight int
+	// Tuning sets the mount's striped-I/O engine.  MaxFlight defaults to
+	// 32 — wide enough that the session slot table and FlushParallel bind
+	// first, as the pre-engine client behaved — and MaxTransfer to no extra
+	// splitting (chunks are already gathered to WSize/RSize).  Write-back
+	// and readahead run as Background, reads and commits as Foreground;
+	// only foreground READs hedge.
+	ioengine.Tuning
 	// Real makes reads and writes carry actual bytes end to end.
 	Real bool
 	// Metrics is the shared observability registry (docs/METRICS.md).  Nil
@@ -152,23 +134,10 @@ type Client struct {
 	mdsFallbacks *metrics.Counter
 
 	// Integrity observability (docs/FAULTS.md "Corruption"): corrupt reads
-	// detected by block/wire checksums, bounded same-source re-reads, and
-	// replica read-repairs that rewrote the bad copy.
+	// detected by block/wire checksums, and the claim set that counts
+	// replica read-repairs rewriting the bad copy.
 	corruptReads *metrics.Counter
-	readRepairs  *metrics.Counter
-
-	// repairedMu/repaired make read-repair exactly-once per extent: the
-	// first corrupt read of an extent rewrites the bad copy, concurrent and
-	// later corrupt reads of the same extent only re-serve good bytes.
-	repairedMu sync.Mutex
-	repaired   map[repairKey]bool
-}
-
-// repairKey identifies one repaired device extent.
-type repairKey struct {
-	fh     uint64
-	dev    int
-	devOff int64
+	repairs      *ioengine.Repairs
 }
 
 // Metrics returns the mount's per-operation latency/volume table.
@@ -229,9 +198,8 @@ func NewClient(cfg ClientConfig) *Client {
 			"Extents proxied through the MDS after data-server recovery failed."),
 		corruptReads: reg.Counter("nfs_client_corrupt_reads_total",
 			"READs that returned a data-integrity error (block or wire checksum mismatch)."),
-		readRepairs: reg.Counter("nfs_client_read_repairs_total",
-			"Corrupt extents rewritten with good bytes fetched from a replica."),
-		repaired: make(map[repairKey]bool),
+		repairs: ioengine.NewRepairs(reg.Counter("nfs_client_read_repairs_total",
+			"Corrupt extents rewritten with good bytes fetched from a replica.")),
 	}
 	c.slotSem = sim.NewSemaphore(cfg.Name+"/slots", int(cfg.Slots))
 	c.rtSlots = make(chan struct{}, cfg.Slots)
@@ -239,18 +207,10 @@ func NewClient(cfg ClientConfig) *Client {
 	c.rtFlush = make(chan struct{}, cfg.FlushParallel)
 	c.flushProc = cfg.Name + "/flush"
 	c.engine = ioengine.New(ioengine.Config{
-		Name:            cfg.Name + "/engine",
-		Issuer:          "nfs",
-		MaxFlight:       cfg.MaxFlight,
-		MaxTransfer:     cfg.MaxTransfer,
-		Wave:            cfg.Wave,
-		BackgroundShare: cfg.BackgroundShare,
-		Hedge:           cfg.Hedge,
-		HedgeAfter:      cfg.HedgeAfter,
-		HedgeFactor:     cfg.HedgeFactor,
-		Adaptive:        cfg.Adaptive,
-		MinFlight:       cfg.MinFlight,
-		Metrics:         reg,
+		Name:    cfg.Name + "/engine",
+		Issuer:  "nfs",
+		Tuning:  cfg.Tuning,
+		Metrics: reg,
 	})
 	for i := int(cfg.Slots) - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, uint32(i))
@@ -843,86 +803,109 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 }
 
 // chunkLadder builds the per-extent dispatch for one gathered chunk:
-// striped writes under the file's pNFS layout behind a two-rung policy
-// ladder.  A device error evicts the cached layout, re-drives
-// GETDEVICELIST + LAYOUTGET, and retries once against the fresh layout
-// (the recalled-layout path, paper §4); extents that still cannot reach a
-// data server are proxied through the metadata server, which writes into
-// the parallel file system on the client's behalf.
+// striped writes under the file's pNFS layout, behind the layout-refetch
+// rung (the recalled-layout path, paper §4) and, last, the MDS proxy, which
+// writes into the parallel file system on the client's behalf.
 func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.DoFunc {
 	layout := f.layout
-	chunk := func(e stripe.Extent) payload.Payload { return data.Slice(e.Off-off, e.Len) }
+	write := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
+		return c.dsWrite(ctx, f, l, e, data.Slice(e.Off-off, e.Len))
+	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
-		_, err := c.dsWrite(ctx, f, layout, e, chunk(e))
+		err := write(ctx, layout, e)
 		if err == nil {
 			f.markTouched(e.Dev)
 		}
 		return err
 	}
-	recovery := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
+	mdsWrite := func(ctx *rpc.Ctx, e stripe.Extent) error {
+		_, err := c.call(ctx, c.cfg.MDS, true,
+			&OpPutFH{FH: f.fh},
+			&OpWrite{StateID: f.stateID, Off: e.Off, Data: data.Slice(e.Off-off, e.Len)},
+		)
+		if err == nil {
+			f.markTouched(-1)
+		}
+		return err
+	}
+	return c.mdsProxy(mdsWrite)(c.layoutRefetch(f, layout, true, write)(primary))
+}
+
+// layoutRefetch is the layout-recovery rung of the read and write ladders:
+// a device error evicts the file's cached layout, re-drives GETDEVICELIST +
+// LAYOUTGET, and retries the extent once through do under the fresh layout.
+// If membership changed underneath (a new layout generation), the extent's
+// device index is meaningless under the new geometry, so the logical range
+// is remapped through the fresh layout — Map for writes, which fan out to
+// every replica, ReadMap for reads — and each piece goes through do.  A
+// successful write marks its device for COMMIT, or the MDS when remapped:
+// the touched-device indices no longer line up with f.layout.
+func (c *Client) layoutRefetch(f *File, layout *pnfs.FileLayout, write bool, do func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error) ioengine.Policy {
+	return ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
 		c.devErrors.Inc()
 		l2 := c.recoverLayout(ctx, f)
 		if l2 == nil {
 			return err
 		}
 		if l2.Gen != layout.Gen {
-			// Membership changed underneath us: the extent's device index is
-			// meaningless under the new geometry.  Remap the logical range
-			// through the fresh layout and write each sub-extent; the commit
-			// goes through the MDS because the touched-device indices no
-			// longer line up.
 			m2, merr := l2.Mapper()
 			if merr != nil {
 				return err
 			}
-			for _, se := range m2.Map(e.Off, e.Len) {
-				if _, err2 := c.dsWrite(ctx, f, l2, se, data.Slice(se.Off-off, se.Len)); err2 != nil {
+			var pieces []stripe.Extent
+			if write {
+				pieces = m2.Map(e.Off, e.Len)
+			} else {
+				pieces = m2.ReadMap(e.Off, e.Len, e.Off/c.cfg.RSize)
+			}
+			for _, se := range pieces {
+				if err2 := do(ctx, l2, se); err2 != nil {
 					return err2
 				}
 			}
-			f.markTouched(-1)
+			if write {
+				f.markTouched(-1)
+			}
 			return nil
 		}
 		if e.Dev >= len(l2.Devices) {
 			return err
 		}
-		if _, err2 := c.dsWrite(ctx, f, l2, e, chunk(e)); err2 != nil {
+		if err2 := do(ctx, l2, e); err2 != nil {
 			return err2
 		}
-		f.markTouched(e.Dev)
+		if write {
+			f.markTouched(e.Dev)
+		}
 		return nil
 	})
-	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
+}
+
+// mdsProxy is the last rung of every data-path ladder: the request goes
+// through the metadata server instead, the protocol's guaranteed-correct
+// fallback path (paper §4).
+func (c *Client) mdsProxy(do ioengine.DoFunc) ioengine.Policy {
+	return ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
 		c.mdsFallbacks.Inc()
-		_, err := c.call(ctx, c.cfg.MDS, true,
-			&OpPutFH{FH: f.fh},
-			&OpWrite{StateID: f.stateID, Off: e.Off, Data: chunk(e)},
-		)
-		if err == nil {
-			f.markTouched(-1)
-		}
-		return err
+		return do(ctx, e)
 	})
-	// Same composition order RunWith would apply to (primary, mdsProxy,
-	// recovery): try the layout's data server, recover the layout on error,
-	// and proxy through the MDS as the last rung.
-	return mdsProxy(recovery(primary))
 }
 
 // dsWrite sends one extent's WRITE to its data server under layout l.
-func (c *Client) dsWrite(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload) (*CompoundRep, error) {
+func (c *Client) dsWrite(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload) error {
 	conn := c.device(l.Devices[e.Dev])
 	if conn == nil {
-		return nil, fmt.Errorf("nfs: no conn for device %d", l.Devices[e.Dev])
+		return &rpc.NoConnError{Dev: e.Dev}
 	}
 	devOff := e.Off
 	if l.Direct {
 		devOff = e.DevOff
 	}
-	return c.call(ctx, conn, false,
+	_, err := c.call(ctx, conn, false,
 		&OpPutFH{FH: l.FHs[e.Dev]},
 		&OpWrite{StateID: f.stateID, Off: devOff, Data: chunk},
 	)
+	return err
 }
 
 // Fsync flushes all dirty data, commits unstable writes on every touched
@@ -965,24 +948,28 @@ func (c *Client) Fsync(ctx *rpc.Ctx, f *File) error {
 	for i, dev := range devs {
 		commits[i] = stripe.Extent{Dev: dev}
 	}
-	err := c.engine.Run(ctx, commits, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		// r.Dev < 0 is the explicit MDS marker; an out-of-range or unknown
-		// device (the layout was regenerated under a new membership between
-		// the write and this commit) falls back to the MDS the same way.
-		if r.Dev < 0 || r.Dev >= len(f.layout.Devices) || c.device(f.layout.Devices[r.Dev]) == nil {
-			_, err := c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpCommit{})
-			return err
-		}
+	mdsCommit := func(ctx *rpc.Ctx, _ stripe.Extent) error {
+		_, err := c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpCommit{})
+		return err
+	}
+	// A crashed data server's commit goes through the MDS instead, which
+	// flushes the parallel FS daemons on the client's behalf.
+	dsCommit := c.mdsProxy(mdsCommit)(func(ctx *rpc.Ctx, r stripe.Extent) error {
 		conn := c.device(f.layout.Devices[r.Dev])
 		_, err := c.call(ctx, conn, false, &OpPutFH{FH: f.layout.FHs[r.Dev]}, &OpCommit{})
 		if err != nil {
-			// Crashed data server: commit through the MDS instead, which
-			// flushes the parallel FS daemons on the client's behalf.
 			c.devErrors.Inc()
-			c.mdsFallbacks.Inc()
-			_, err = c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpCommit{})
 		}
 		return err
+	})
+	err := c.engine.Run(ctx, commits, func(ctx *rpc.Ctx, r stripe.Extent) error {
+		// r.Dev < 0 is the explicit MDS marker; an out-of-range or unknown
+		// device (the layout was regenerated under a new membership between
+		// the write and this commit) commits through the MDS the same way.
+		if r.Dev < 0 || r.Dev >= len(f.layout.Devices) || c.device(f.layout.Devices[r.Dev]) == nil {
+			return mdsCommit(ctx, r)
+		}
+		return dsCommit(ctx, r)
 	})
 	if err != nil {
 		return err
@@ -1151,12 +1138,12 @@ func fillRelease(f *File, off int64, data payload.Payload) {
 
 // readChunks fetches a set of RSize chunks into the cache in one engine
 // run: striped across data servers under a layout, or from the MDS
-// otherwise.  Striped extents carry the same recovery ladder as writes — a
-// device error evicts and refetches the layout for one retry, and extents
-// that still cannot reach a data server are read through the MDS — with one
-// extra rung under a replicated layout: a failed extent first retries on
-// each alternate replica device before the layout re-drive.  Replicated
-// reads are also steered to the least-loaded replica before issue.
+// otherwise.  A striped extent that fails its checksum is first re-read
+// from the same source a bounded number of times; a failure that persists
+// climbs the ladder: under a replicated layout the shared replica rung
+// (each live alternate in turn, read-repairing corruption), then the
+// layout-refetch rung writes use too, then the MDS proxy.  Replicated reads
+// are also steered to the least-loaded replica before issue.
 func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengine.RunOpts) error {
 	if len(chunks) == 0 {
 		return nil
@@ -1193,8 +1180,16 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		// Steer each extent to its least-loaded replica device before issue.
 		extents = c.engine.SteerReplicas(rm, extents)
 	}
+	read := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
+		data, err := c.dsRead(ctx, f, l, e, want)
+		if err != nil {
+			return err
+		}
+		fillRelease(f, e.Off, data)
+		return nil
+	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
-		rep, err := c.dsRead(ctx, f, layout, e, want)
+		data, err := c.dsRead(ctx, f, layout, e, want)
 		// A checksum mismatch gets a bounded number of same-source re-reads
 		// before the failure ladder engages: a misdirected read is one-shot,
 		// so the next read of the same block is clean, while persistent rot
@@ -1204,125 +1199,54 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 			if attempt >= rpc.IntegrityRetries {
 				break
 			}
-			rep, err = c.dsRead(ctx, f, layout, e, want)
+			data, err = c.dsRead(ctx, f, layout, e, want)
 		}
 		if err != nil {
 			return err
 		}
-		fillRelease(f, e.Off, rep.Results[1].(*ResRead).Data)
+		fillRelease(f, e.Off, data)
 		return nil
 	}
-	recovery := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
-		c.devErrors.Inc()
-		l2 := c.recoverLayout(ctx, f)
-		if l2 == nil {
-			return err
-		}
-		if l2.Gen != layout.Gen {
-			// The layout was regenerated under a new membership: remap the
-			// logical range through the fresh geometry instead of retrying
-			// the now-meaningless device index.
-			m2, merr := l2.Mapper()
-			if merr != nil {
-				return err
-			}
-			for _, se := range m2.ReadMap(e.Off, e.Len, e.Off/c.cfg.RSize) {
-				rep, err2 := c.dsRead(ctx, f, l2, se, want)
-				if err2 != nil {
-					return err2
-				}
-				fillRelease(f, se.Off, rep.Results[1].(*ResRead).Data)
-			}
-			return nil
-		}
-		if e.Dev >= len(l2.Devices) {
-			return err
-		}
-		rep, err2 := c.dsRead(ctx, f, l2, e, want)
-		if err2 != nil {
-			return err2
-		}
-		fillRelease(f, e.Off, rep.Results[1].(*ResRead).Data)
-		return nil
-	})
-	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
-		c.mdsFallbacks.Inc()
-		return mdsRead(ctx, e)
-	})
-	policies := []ioengine.Policy{mdsProxy, recovery}
+	policies := []ioengine.Policy{c.mdsProxy(mdsRead), c.layoutRefetch(f, layout, false, read)}
 	if replicated {
-		// Innermost rung: before evicting the layout, retry the extent on
-		// each alternate replica device in turn — every replica holds the
-		// same stripe object, so only Dev changes.  The liveness filter
-		// keeps failover off devices that have left the cluster.
-		live := func(dev int) bool {
-			return dev >= 0 && dev < len(layout.Devices) && c.deviceActive(layout.Devices[dev])
-		}
-		replicaFB := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
-			corrupt := rpc.RetryableIntegrity(err)
-			for _, alt := range rm.AlternatesLive(e, live) {
-				rep, err2 := c.dsRead(ctx, f, layout, alt, want)
-				if err2 != nil {
-					continue
-				}
-				data := rep.Results[1].(*ResRead).Data
-				if corrupt {
-					// The extent failed its checksum, not its transport:
-					// rewrite the bad copy with the replica's good bytes
-					// before serving them (read-repair).
-					c.readRepair(ctx, f, layout, e, data)
-				}
-				fillRelease(f, alt.Off, data)
-				return nil
-			}
-			return err
-		})
-		policies = append(policies, replicaFB)
+		policies = append(policies, ioengine.WithReplicas(ioengine.Replicas{
+			Map: rm,
+			Live: func(dev int) bool {
+				return dev >= 0 && dev < len(layout.Devices) && c.deviceActive(layout.Devices[dev])
+			},
+			Read: func(ctx *rpc.Ctx, e stripe.Extent, real bool) (payload.Payload, error) {
+				return c.dsRead(ctx, f, layout, e, want || real)
+			},
+			Deliver: func(e stripe.Extent, data payload.Payload) { fillRelease(f, e.Off, data) },
+			Rewrite: func(ctx *rpc.Ctx, e stripe.Extent, good payload.Payload) error {
+				return c.dsWrite(ctx, f, layout, e, good)
+			},
+			Repairs: c.repairs,
+			File:    f.fh,
+		}))
 	}
 	return c.engine.RunWith(ctx, opts, c.engine.Prepare(extents), primary, policies...)
 }
 
-// readRepair rewrites a corrupt extent with good bytes just read from a
-// replica, exactly once per (file, device, device-offset): the first corrupt
-// read repairs the copy, concurrent and later corrupt reads of the same
-// extent only re-serve good bytes.  The rewrite is best-effort — the caller
-// already holds good data, and the background scrubber sweeps up copies the
-// client never rewrites — so a failed repair only releases the exactly-once
-// claim for a later attempt.
-func (c *Client) readRepair(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, good payload.Payload) {
-	key := repairKey{fh: f.fh, dev: e.Dev, devOff: e.DevOff}
-	c.repairedMu.Lock()
-	claimed := !c.repaired[key]
-	if claimed {
-		c.repaired[key] = true
-	}
-	c.repairedMu.Unlock()
-	if !claimed {
-		return
-	}
-	if _, err := c.dsWrite(ctx, f, l, e, good); err != nil {
-		c.repairedMu.Lock()
-		delete(c.repaired, key)
-		c.repairedMu.Unlock()
-		return
-	}
-	c.readRepairs.Inc()
-}
-
-// dsRead sends one extent's READ to its data server under layout l.
-func (c *Client) dsRead(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, want bool) (*CompoundRep, error) {
+// dsRead sends one extent's READ to its data server under layout l and
+// returns the payload.
+func (c *Client) dsRead(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, want bool) (payload.Payload, error) {
 	conn := c.device(l.Devices[e.Dev])
 	if conn == nil {
-		return nil, fmt.Errorf("nfs: no conn for device %d", l.Devices[e.Dev])
+		return payload.Payload{}, &rpc.NoConnError{Dev: e.Dev}
 	}
 	devOff := e.Off
 	if l.Direct {
 		devOff = e.DevOff
 	}
-	return c.call(ctx, conn, false,
+	rep, err := c.call(ctx, conn, false,
 		&OpPutFH{FH: l.FHs[e.Dev]},
 		&OpRead{StateID: f.stateID, Off: devOff, Len: e.Len, WantReal: want},
 	)
+	if err != nil {
+		return payload.Payload{}, err
+	}
+	return rep.Results[1].(*ResRead).Data, nil
 }
 
 // GetAttr refreshes attributes from the metadata server.

@@ -3,7 +3,6 @@ package pvfs
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/ioengine"
@@ -29,37 +28,18 @@ type ClientConfig struct {
 	// client keeps addressing the right daemons after membership changes.
 	IOIDs []uint32
 	Costs Costs
-	// MaxFlight bounds concurrent outstanding I/O requests ("limited
-	// request parallelization", paper §5) — the I/O engine's sliding-window
-	// size.
-	MaxFlight int
-	// MaxTransfer caps a single I/O request's payload; larger extents are
-	// split ("large transfer buffers").
-	MaxTransfer int64
-	// Wave dispatches striped I/O in lock-step batches instead of the
-	// sliding window — the pre-engine behaviour, kept for the bench
-	// window-sweep comparison.
-	Wave bool
+	// Tuning sets the client's striped-I/O engine.  MaxFlight defaults to 8
+	// ("limited request parallelization", paper §5) and MaxTransfer to
+	// 256 KiB, the PVFS2 flow buffer ("large transfer buffers").  The
+	// library has no write-back or readahead — all its I/O is synchronous
+	// at Class — so BackgroundShare only matters if an embedding adds
+	// background traffic on the same engine; only reads hedge.
+	ioengine.Tuning
 	// Retry bounds the per-daemon retry loop that rides out injected
-	// storage-node crashes (internal/faults): striped I/O to a crashed
-	// daemon backs off and retries until the node restarts or the budget
-	// runs out.  Zero-valued fields take rpc.DefaultRetryPolicy.
+	// storage-node crashes (internal/faults): striped I/O and fsync to a
+	// crashed daemon back off and retry until the node restarts or the
+	// budget runs out.  Zero-valued fields take rpc.DefaultRetryPolicy.
 	Retry rpc.RetryPolicy
-	// BackgroundShare caps the window fraction Background-class work may
-	// hold.  The PVFS2 library has no write-back or readahead — all its I/O
-	// is synchronous Foreground — so this only matters if an embedding adds
-	// background traffic on the same engine.
-	BackgroundShare float64
-	// Hedge enables hedged duplicate reads for stragglers (writes never
-	// hedge); HedgeAfter/HedgeFactor tune the adaptive threshold (0 =
-	// engine defaults).
-	Hedge       bool
-	HedgeAfter  time.Duration
-	HedgeFactor float64
-	// Adaptive lets the engine's window float between MinFlight and
-	// MaxFlight by AIMD (0 MinFlight = engine default).
-	Adaptive  bool
-	MinFlight int
 	// Class is the QoS class all of this client's striped I/O runs under
 	// (zero value = Foreground).  The cluster's rebalance engine sets
 	// Background here so migration traffic yields to application I/O.
@@ -79,38 +59,24 @@ type Client struct {
 	stats  *clientStats
 	engine *ioengine.Engine
 	retry  ioengine.Policy
-	// mu guards the conn maps: AddServer may race with newFile when the
+	// mu guards io and retired: AddServer may race with newFile when the
 	// cluster reconfigures while clients are running.
 	mu sync.Mutex
-	// io/ioSync key the daemon conns by stable server ID.  ioSync wraps
-	// each conn in the retry policy for the serial fsync path, which does
-	// not ride the engine.
-	io     map[uint32]rpc.Conn
-	ioSync map[uint32]rpc.Conn
+	// io keys the daemon conns by stable server ID.
+	io map[uint32]rpc.Conn
 	// retired holds the IDs of daemons that have left membership
 	// (RetireServer).  Their conns stay in io, so data placed under an
-	// older distribution stays reachable, but the replica ladder never
+	// older distribution stays reachable, but the replica rung never
 	// fails over onto them.
 	retired map[uint32]bool
-	// repaired records extents this client already read-repaired, keyed by
-	// (data handle, device, device offset): repair is exactly-once per
-	// extent per client, so a rewrite that does not take (the replica is
-	// also failing) cannot loop.
-	repairedMu sync.Mutex
-	repaired   map[repairKey]bool
-}
-
-// repairKey identifies one repaired device extent.
-type repairKey struct {
-	data   Handle
-	dev    int
-	devOff int64
+	// repairs is the read-repair claim set of the replica rung.
+	repairs *ioengine.Repairs
 }
 
 // NewClient returns a client with defaults applied.  Striped reads and
 // writes flow through the I/O engine under a retry policy, so they survive
-// a daemon outage shorter than the retry budget; the serial flush path gets
-// the same protection from retry-wrapped conns.
+// a daemon outage shorter than the retry budget; Sync runs its serial
+// flushes under the same retry loop.
 func NewClient(cfg ClientConfig) *Client {
 	if cfg.MaxFlight <= 0 {
 		cfg.MaxFlight = 8
@@ -127,31 +93,26 @@ func NewClient(cfg ClientConfig) *Client {
 	if issuer == "" {
 		issuer = "pvfs"
 	}
-	c := &Client{cfg: cfg, stats: stats, retired: make(map[uint32]bool), repaired: make(map[repairKey]bool)}
+	c := &Client{
+		cfg:     cfg,
+		stats:   stats,
+		retired: make(map[uint32]bool),
+		repairs: ioengine.NewRepairs(stats.readRepairs),
+	}
 	c.engine = ioengine.New(ioengine.Config{
-		Name:            name,
-		Issuer:          issuer,
-		MaxFlight:       cfg.MaxFlight,
-		MaxTransfer:     cfg.MaxTransfer,
-		Wave:            cfg.Wave,
-		BackgroundShare: cfg.BackgroundShare,
-		Hedge:           cfg.Hedge,
-		HedgeAfter:      cfg.HedgeAfter,
-		HedgeFactor:     cfg.HedgeFactor,
-		Adaptive:        cfg.Adaptive,
-		MinFlight:       cfg.MinFlight,
-		Metrics:         cfg.Metrics,
+		Name:    name,
+		Issuer:  issuer,
+		Tuning:  cfg.Tuning,
+		Metrics: cfg.Metrics,
 	})
 	c.retry = ioengine.WithRetry(cfg.Retry, stats.ioRetries.Inc)
 	c.io = make(map[uint32]rpc.Conn, len(cfg.IO))
-	c.ioSync = make(map[uint32]rpc.Conn, len(cfg.IO))
 	for i, conn := range cfg.IO {
 		id := uint32(i)
 		if i < len(cfg.IOIDs) {
 			id = cfg.IOIDs[i]
 		}
 		c.io[id] = conn
-		c.ioSync[id] = rpc.WithRetry(conn, cfg.Retry, stats.ioRetries.Inc)
 	}
 	return c
 }
@@ -163,7 +124,6 @@ func (c *Client) AddServer(id uint32, conn rpc.Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.io[id] = conn
-	c.ioSync[id] = rpc.WithRetry(conn, c.cfg.Retry, c.stats.ioRetries.Inc)
 }
 
 // RetireServer marks a storage daemon as departed from membership (a
@@ -188,9 +148,8 @@ func (c *Client) serverLive(f *File, dev int) bool {
 }
 
 // File is an open PVFS2 file reference.  Data is the handle the datafiles
-// live under (it diverges from Handle after a migration); ids/io/ioSync
-// hold the daemon IDs and conns for the file's placement, in stripe-device
-// order.
+// live under (it diverges from Handle after a migration); ids/io hold the
+// daemon IDs and conns for the file's placement, in stripe-device order.
 type File struct {
 	Handle Handle
 	Data   Handle
@@ -198,7 +157,6 @@ type File struct {
 	mapper stripe.Mapper
 	ids    []uint32
 	io     []rpc.Conn
-	ioSync []rpc.Conn
 }
 
 func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
@@ -221,12 +179,10 @@ func (c *Client) newFile(h, data Handle, dist DistParams) *File {
 		mapper: dist.Mapper(),
 		ids:    ids,
 		io:     make([]rpc.Conn, len(ids)),
-		ioSync: make([]rpc.Conn, len(ids)),
 	}
 	c.mu.Lock()
 	for i, id := range ids {
 		f.io[i] = c.io[id]
-		f.ioSync[i] = c.ioSync[id]
 	}
 	c.mu.Unlock()
 	return f
@@ -236,7 +192,7 @@ func (c *Client) newFile(h, data Handle, dist DistParams) *File {
 // the placement names a server this client has no conn for.
 func (f *File) conn(dev int) (rpc.Conn, error) {
 	if dev < 0 || dev >= len(f.io) || f.io[dev] == nil {
-		return nil, fmt.Errorf("pvfs: no conn for device %d of handle %x", dev, uint64(f.Handle))
+		return nil, &rpc.NoConnError{Dev: dev}
 	}
 	return f.io[dev], nil
 }
@@ -329,36 +285,60 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 	// below it that a daemon skipped are holes (zeros).
 	var mu sync.Mutex
 	var maxEnd int64
-	// Synchronous read: runs at the client's configured class, and is
-	// eligible for hedged duplicates when the engine has hedging enabled
-	// (reads are idempotent).
-	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class, Hedge: true}, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		rep, err := c.readExtent(ctx, f, r, wantReal)
-		if err != nil {
-			// Replica ladder: a dead device or a corrupt block is retried
-			// on each surviving copy; corruption additionally rewrites the
-			// bad copy with the good bytes (read-repair, exactly once per
-			// extent).
-			rep, err = c.readAlternates(ctx, f, r, wantReal, err)
+	deliver := func(r stripe.Extent, data payload.Payload) {
+		got := data.Len()
+		if got == 0 {
+			return
 		}
+		// The copy stays under mu: a hedged duplicate writes the same
+		// bytes to the same region as its primary.
+		mu.Lock()
+		if end := r.Off + got; end > maxEnd {
+			maxEnd = end
+		}
+		if wantReal && data.Bytes != nil {
+			copy(buf[r.Off-off:], data.Bytes)
+		}
+		mu.Unlock()
+	}
+	primary := func(ctx *rpc.Ctx, r stripe.Extent) error {
+		data, err := c.readExtent(ctx, f, r, wantReal)
 		if err != nil {
 			return err
 		}
-		got := rep.Data.Len()
-		if got > 0 {
-			// The copy stays under mu: a hedged duplicate writes the same
-			// bytes to the same region as its primary.
-			mu.Lock()
-			if end := r.Off + got; end > maxEnd {
-				maxEnd = end
-			}
-			if wantReal && rep.Data.Bytes != nil {
-				copy(buf[r.Off-off:], rep.Data.Bytes)
-			}
-			mu.Unlock()
-		}
+		deliver(r, data)
 		return nil
-	}, c.retry)
+	}
+	// Synchronous read: runs at the client's configured class, and is
+	// eligible for hedged duplicates when the engine has hedging enabled
+	// (reads are idempotent).  A dead device or a corrupt block is first
+	// retried on each surviving copy (the shared replica rung, which also
+	// read-repairs corruption), then under the bounded retry loop.
+	policies := []ioengine.Policy{c.retry}
+	if rm, ok := f.mapper.(*stripe.Replicated); ok {
+		policies = append(policies, ioengine.WithReplicas(ioengine.Replicas{
+			Map:  rm,
+			Live: func(dev int) bool { return c.serverLive(f, dev) },
+			Read: func(ctx *rpc.Ctx, r stripe.Extent, real bool) (payload.Payload, error) {
+				return c.readExtent(ctx, f, r, wantReal || real)
+			},
+			Deliver: deliver,
+			Rewrite: func(ctx *rpc.Ctx, r stripe.Extent, good payload.Payload) error {
+				conn, err := f.conn(r.Dev)
+				if err != nil {
+					return err
+				}
+				var rep IOWriteRep
+				if err := conn.Call(ctx, ProcIOWrite, &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: good}, &rep); err != nil {
+					return err
+				}
+				return rep.Errno.Err()
+			},
+			Repairs: c.repairs,
+			File:    uint64(f.Data),
+		}))
+	}
+	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class, Hedge: true}, reqs, primary, policies...)
 	if err != nil {
 		return payload.Payload{}, 0, err
 	}
@@ -377,21 +357,21 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 
 // readExtent issues one extent read to its device's daemon and verifies the
 // reply (errno mapping plus the optional wire checksum).
-func (c *Client) readExtent(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool) (IOReadRep, error) {
+func (c *Client) readExtent(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool) (payload.Payload, error) {
 	conn, err := f.conn(r.Dev)
 	if err != nil {
-		return IOReadRep{}, err
+		return payload.Payload{}, err
 	}
 	var rep IOReadRep
 	args := &IOReadArgs{Handle: f.Data, Off: r.DevOff, Len: r.Len, WantReal: wantReal}
 	if err := conn.Call(ctx, ProcIORead, args, &rep); err != nil {
-		return IOReadRep{}, err
+		return payload.Payload{}, err
 	}
 	if rep.Errno != 0 {
 		if rep.Errno == fserr.Corrupt {
 			c.stats.corruptReads.Inc()
 		}
-		return IOReadRep{}, rep.Errno.Err()
+		return payload.Payload{}, rep.Errno.Err()
 	}
 	if rep.HasSum && rep.Data.Bytes != nil && xdr.Checksum(rep.Data.Bytes) != rep.Sum {
 		// The payload was damaged after the daemon read it (or on the
@@ -399,84 +379,27 @@ func (c *Client) readExtent(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal boo
 		// block-checksum mismatch produces.
 		c.stats.corruptReads.Inc()
 		rep.Data.Release()
-		return IOReadRep{}, store.ErrCorrupt
+		return payload.Payload{}, store.ErrCorrupt
 	}
-	return rep, nil
-}
-
-// readAlternates re-drives a failed extent read on each surviving replica;
-// retired daemons are filtered out (stripe.Replicated.AlternatesLive).
-// Only the two laddered failure kinds are eligible — a down device and a
-// data-integrity error; anything else (bad handle, wiring bug) propagates
-// unchanged.  An integrity failure that a replica absorbs also rewrites the
-// bad copy with the replica's bytes.
-func (c *Client) readAlternates(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool, cause error) (IOReadRep, error) {
-	rm, ok := f.mapper.(*stripe.Replicated)
-	if !ok || (!rpc.Retryable(cause) && !rpc.RetryableIntegrity(cause)) {
-		return IOReadRep{}, cause
-	}
-	corrupt := rpc.RetryableIntegrity(cause)
-	live := func(dev int) bool { return c.serverLive(f, dev) }
-	for _, alt := range rm.AlternatesLive(r, live) {
-		// Repair needs real bytes even when the caller wanted a synthetic
-		// read (it rewrites stored content, not sizes).
-		rep, err := c.readExtent(ctx, f, alt, wantReal || corrupt)
-		if err != nil {
-			continue
-		}
-		if corrupt {
-			c.readRepair(ctx, f, r, rep.Data)
-		}
-		return rep, nil
-	}
-	return IOReadRep{}, cause
-}
-
-// readRepair rewrites the corrupt extent on its original device with the
-// good bytes just fetched from a replica, at most once per extent per
-// client.  The write reseals the block checksums; failure releases the
-// claim so a later read can try again.
-func (c *Client) readRepair(ctx *rpc.Ctx, f *File, r stripe.Extent, good payload.Payload) {
-	if good.Bytes == nil || good.Len() == 0 {
-		return
-	}
-	key := repairKey{data: f.Data, dev: r.Dev, devOff: r.DevOff}
-	c.repairedMu.Lock()
-	claimed := !c.repaired[key]
-	if claimed {
-		c.repaired[key] = true
-	}
-	c.repairedMu.Unlock()
-	if !claimed {
-		return
-	}
-	conn, err := f.conn(r.Dev)
-	if err != nil {
-		return
-	}
-	var rep IOWriteRep
-	args := &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: good}
-	if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil || rep.Errno != 0 {
-		c.repairedMu.Lock()
-		delete(c.repaired, key)
-		c.repairedMu.Unlock()
-		return
-	}
-	c.stats.readRepairs.Inc()
+	return rep.Data, nil
 }
 
 // Sync flushes the file's buffered data on each storage daemon holding one
 // of its datafiles.  The flushes are issued serially, matching the
 // sequential datafile flush in the PVFS2 client's fsync path — one source
-// of its poor synchronous small-I/O performance (§6.4.1).
+// of its poor synchronous small-I/O performance (§6.4.1) — each under the
+// client's retry loop.
 func (c *Client) Sync(ctx *rpc.Ctx, f *File) error {
 	c.chargeOp(ctx, 0)
-	for i, conn := range f.ioSync {
-		if conn == nil {
-			return fmt.Errorf("pvfs: no conn for device %d of handle %x", i, uint64(f.Handle))
+	for dev := range f.io {
+		conn, err := f.conn(dev)
+		if err != nil {
+			return err
 		}
 		var rep IOFlushRep
-		if err := conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep); err != nil {
+		if err := c.cfg.Retry.Do(ctx, c.stats.ioRetries.Inc, func() error {
+			return conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep)
+		}); err != nil {
 			return err
 		}
 		if rep.Errno != 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpnfs/internal/fserr"
+	"dpnfs/internal/ioengine"
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
@@ -680,24 +681,16 @@ func (m *MetaServer) fanout(ctx *rpc.Ctx, fn func(ctx *rpc.Ctx, i int, conn rpc.
 	return m.fanoutConns(ctx, m.allConns(), fn)
 }
 
-// fanoutConns runs fn against each conn in parallel (i is the stripe-order
-// index), collecting the first error.  A nil conn (unknown server ID) is an
-// immediate I/O error.
+// fanoutConns runs fn against each conn in parallel on the I/O engine's
+// fan-out (i is the stripe-order index), returning the lowest-indexed
+// error.  A nil conn (unknown server ID) is an immediate I/O error.
 func (m *MetaServer) fanoutConns(ctx *rpc.Ctx, conns []rpc.Conn, fn func(ctx *rpc.Ctx, i int, conn rpc.Conn) error) error {
-	errs := make([]error, len(conns))
-	rpc.Parallel(ctx, len(conns), func(ctx *rpc.Ctx, i int) {
+	return ioengine.Fanout(ctx, "pvfs-mds/fanout", len(conns), func(ctx *rpc.Ctx, i int) error {
 		if conns[i] == nil {
-			errs[i] = fserr.IO.Err()
-			return
+			return fserr.IO.Err()
 		}
-		errs[i] = fn(ctx, i, conns[i])
+		return fn(ctx, i, conns[i])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Handle dispatches one metadata request.

@@ -29,6 +29,16 @@ func (e *DownError) Error() string {
 	return fmt.Sprintf("rpc: node %s is down (injected fault)", e.Node)
 }
 
+// NoConnError reports that a client holds no conn for the stripe device
+// an extent maps to: its layout or placement names a server the client
+// never dialed.  Another replica's conn may still exist, so the replica
+// rung (internal/ioengine) counts it among the errors another copy heals.
+type NoConnError struct{ Dev int }
+
+func (e *NoConnError) Error() string {
+	return fmt.Sprintf("rpc: no conn for stripe device %d", e.Dev)
+}
+
 // Retryable reports whether err is a transient transport failure that a
 // client may retry (currently: injected node-down faults).  Protocol-level
 // errors riding inside replies are never retryable.

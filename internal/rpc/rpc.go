@@ -23,9 +23,6 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// realWG aliases sync.WaitGroup for real-time Parallel.
-type realWG = sync.WaitGroup
-
 // Status is an RPC-level status word.  0 is success; protocol-level errors
 // ride inside reply bodies, not here.
 type Status uint32
@@ -294,42 +291,6 @@ func copyReply(dst xdr.Unmarshaler, src xdr.Marshaler) error {
 	}
 	dv.Elem().Set(sv.Elem())
 	return nil
-}
-
-// Parallel runs fn(i) for i in [0, n) concurrently and waits for all of
-// them: simulated processes under the kernel, plain goroutines in real-time
-// mode.  Each invocation gets its own Ctx.
-func Parallel(ctx *Ctx, n int, fn func(ctx *Ctx, i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 {
-		fn(ctx, 0)
-		return
-	}
-	if ctx.P == nil {
-		var wg realWG
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				fn(&Ctx{}, i)
-			}(i)
-		}
-		wg.Wait()
-		return
-	}
-	k := ctx.P.Kernel()
-	var wg sim.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		k.Go(ctx.P.Name()+"/par", func(w *sim.Proc) {
-			defer wg.Done()
-			fn(&Ctx{P: w}, i)
-		})
-	}
-	wg.Wait(ctx.P)
 }
 
 // ServerConfig describes a simulated RPC service endpoint.

@@ -83,8 +83,14 @@ func (t *FabricTransport) Dial(from, node, service string) (Conn, error) {
 	return c, nil
 }
 
-// Close implements Transport; the simulation kernel owns process teardown.
-func (t *FabricTransport) Close() error { return nil }
+// Close implements Transport by shutting the simulation kernel down: the
+// service dispatch loops Serve started, and any process still parked or
+// never started, exit with their goroutines.  Call it once the cluster's
+// runs are over.
+func (t *FabricTransport) Close() error {
+	t.Fabric.K.Shutdown()
+	return nil
+}
 
 // TCPTransport runs endpoints on real loopback sockets: Serve starts a
 // TCPServer on an ephemeral port, Dial hands out a per-server shared

@@ -109,7 +109,7 @@ func New(cfg Config) *Scrubber {
 		// MaxFlight 1: the scan is sequential by design — pacing a sliding
 		// window would let a burst of chunk reads land ahead of the sleep.
 		engine: ioengine.New(ioengine.Config{
-			Name: name + "/scrub", Issuer: "scrub", MaxFlight: 1,
+			Name: name + "/scrub", Issuer: "scrub", Tuning: ioengine.Tuning{MaxFlight: 1},
 			Metrics: cfg.Metrics,
 		}),
 		scanned: cfg.Metrics.CounterVec("scrub_extents_total",

@@ -22,6 +22,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -87,6 +88,7 @@ type Kernel struct {
 	running int              // live (started, unfinished) processes
 	parked  map[*Proc]string // processes blocked on a primitive, with reason
 	nextID  int
+	stopped bool // set by Shutdown: resumed processes exit
 
 	// free recycles fired events.  Nothing retains an *event past its
 	// dispatch (schedule's return value is never stored), and the kernel is
@@ -160,7 +162,9 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 			k.running--
 			k.yield <- struct{}{}
 		}()
-		fn(p)
+		if !k.stopped {
+			fn(p)
+		}
 	}()
 	k.schedule(p, k.now)
 	return p
@@ -200,15 +204,24 @@ func (k *Kernel) ready(p *Proc) {
 // loop) resumes it.  reason is reported by deadlock diagnostics.
 func (p *Proc) park(reason string) {
 	p.k.parked[p] = reason
-	p.k.yield <- struct{}{}
-	<-p.wake
+	p.yieldAndWait()
 }
 
 // sleepUntil blocks the calling process until virtual time at.
 func (p *Proc) sleepUntil(at Time) {
 	p.k.schedule(p, at)
+	p.yieldAndWait()
+}
+
+// yieldAndWait hands control to the kernel until it resumes p.  A process
+// resumed by Shutdown exits instead: its deferred calls run (they must not
+// block), and Go's deferred yield hands control back to Shutdown.
+func (p *Proc) yieldAndWait() {
 	p.k.yield <- struct{}{}
 	<-p.wake
+	if p.k.stopped {
+		runtime.Goexit()
+	}
 }
 
 // Sleep blocks the calling process for virtual duration d.  Negative
@@ -231,6 +244,31 @@ func (p *Proc) SleepUntilTime(at Time) {
 		return
 	}
 	p.sleepUntil(at)
+}
+
+// Shutdown ends every process that has not finished — those parked on a
+// primitive (server dispatch loops, resource waiters) and those still in
+// the event queue, including processes that never started — so their
+// goroutines exit.  The kernel runs nothing afterwards.  Call it from the
+// goroutine that calls Run, never while Run is executing; repeat calls are
+// no-ops.
+func (k *Kernel) Shutdown() {
+	k.stopped = true
+	procs := make([]*Proc, 0, len(k.parked)+len(k.events))
+	for p := range k.parked {
+		procs = append(procs, p)
+	}
+	for _, ev := range k.events {
+		procs = append(procs, ev.p)
+	}
+	for _, p := range procs {
+		if !p.done { // a process listed twice is done by its second turn
+			p.wake <- struct{}{}
+			<-k.yield
+		}
+	}
+	k.events = nil
+	k.parked = make(map[*Proc]string)
 }
 
 // DeadlockError is returned by Run when no events remain but processes are

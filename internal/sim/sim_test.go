@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -354,4 +355,42 @@ func TestSchedulePastPanics(t *testing.T) {
 	k.now = 100
 	p := &Proc{k: k, name: "x", wake: make(chan struct{}, 1)}
 	k.schedule(p, 50)
+}
+
+// settleGoroutines waits until the goroutine count drops to at most want
+// (an exiting goroutine leaves the count a moment after handing control
+// back), failing after a deadline.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestShutdownEndsParkedAndUnstartedProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	inbox := NewChan("inbox")
+	var unwound int
+	k.Go("daemon", func(p *Proc) {
+		p.MarkDaemon()
+		defer func() { unwound++ }()
+		for {
+			inbox.Recv(p)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Go("unstarted", func(p *Proc) { t.Error("a process ran after Shutdown") })
+	k.Shutdown()
+	k.Shutdown() // repeat calls are no-ops
+	if unwound != 1 {
+		t.Fatalf("parked daemon unwound %d times, want 1 (deferred calls run on exit)", unwound)
+	}
+	settleGoroutines(t, before)
 }
